@@ -51,7 +51,6 @@ import (
 	"bridge/internal/replica"
 	"bridge/internal/sim"
 	"bridge/internal/tools"
-	"bridge/internal/trace"
 )
 
 // Re-exported types from the implementation packages, so the whole public
@@ -271,9 +270,6 @@ type Config struct {
 	DiskLatency time.Duration
 	// Seek switches to the richer seek/rotation disk model.
 	Seek bool
-	// Trace records every message send and disk access with simulated
-	// timestamps; dump with Session.WriteTrace.
-	Trace bool
 	// RealTime runs against the wall clock (scaled by TimeScale) instead
 	// of the deterministic virtual clock.
 	RealTime bool
@@ -426,14 +422,6 @@ func (s *System) Run(fn func(*Session) error) error {
 	if err != nil {
 		return err
 	}
-	var tr *trace.Tracer
-	if s.cfg.Trace {
-		tr = trace.New(1 << 18)
-		cl.Net.SetTracer(tr)
-		for i, n := range cl.Nodes {
-			n.Disk.SetTracer(tr, fmt.Sprintf("disk%d", i))
-		}
-	}
 	var rec *obs.Recorder
 	var obsStop *msg.Port
 	if s.cfg.Obs != nil {
@@ -446,9 +434,6 @@ func (s *System) Run(fn func(*Session) error) error {
 		obsStop = startSampler(rt, cl, rec, ocfg.SampleEvery)
 	}
 	if s.cfg.Fault != nil {
-		if tr != nil {
-			s.cfg.Fault.SetTracer(tr)
-		}
 		s.cfg.Fault.AttachNetwork(cl.Net)
 		for i, n := range cl.Nodes {
 			s.cfg.Fault.AttachDisk(n.Disk, fmt.Sprintf("disk%d", i))
@@ -470,12 +455,11 @@ func (s *System) Run(fn func(*Session) error) error {
 			defer obsStop.Close()
 		}
 		sess := &Session{
-			proc:   proc,
-			cl:     cl,
-			c:      cl.NewClient(proc, 0, "session"),
-			tracer: tr,
-			rec:    rec,
-			pdel:   s.cfg.ParallelDelete,
+			proc: proc,
+			cl:   cl,
+			c:    cl.NewClient(proc, 0, "session"),
+			rec:  rec,
+			pdel: s.cfg.ParallelDelete,
 		}
 		if retry != nil {
 			// A distinct stream label keeps the session's jitter sequence
@@ -503,12 +487,11 @@ func (s *System) Run(fn func(*Session) error) error {
 // Bridge client plus the standard tools; it is bound to the session process
 // and must not be used concurrently.
 type Session struct {
-	proc   sim.Proc
-	cl     *core.Cluster
-	c      *core.Client
-	tracer *trace.Tracer
-	rec    *obs.Recorder // nil = observability off
-	pdel   bool          // Config.ParallelDelete
+	proc sim.Proc
+	cl   *core.Cluster
+	c    *core.Client
+	rec  *obs.Recorder // nil = observability off
+	pdel bool          // Config.ParallelDelete
 }
 
 // startSampler runs the observability gauge sampler: every interval of
@@ -1112,18 +1095,9 @@ func (i Inspector) Raft(shard int) []RaftStatus {
 // reads are atomic; the snapshot is safe to take while the system runs.
 func (i Inspector) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
-		Values:     i.s.cl.Net.Stats().Registry().Values(),
+		Values:     i.s.cl.Net.Stats().Values(),
 		Histograms: i.s.rec.Histograms(),
 	}
-}
-
-// TraceDump writes the legacy event timeline (requires Config.Trace).
-func (i Inspector) TraceDump(w io.Writer) error {
-	if i.s.tracer == nil {
-		return errors.New("bridge: tracing not enabled (set Config.Trace)")
-	}
-	_, err := i.s.tracer.WriteTo(w)
-	return err
 }
 
 // WriteChromeTrace writes the recorded op spans, events, and gauge samples
@@ -1175,15 +1149,16 @@ func WriteMetricsDoc(w io.Writer) error {
 		if err := s.Create("metricsdoc"); err != nil {
 			return err
 		}
-		reg := s.cl.Net.Stats().Registry()
+		reg := s.cl.Net.Stats()
 		replica.RegisterMetrics(reg)
 		tools.RegisterMetrics(reg)
-		sets = append(sets, reg.Values(), s.cl.Nodes[0].Disk.Stats().Registry().Values())
+		n0 := s.cl.Nodes[0]
+		sets = append(sets, reg.Values(), n0.Disk.Stats().Values(), n0.FS().Stats().Values())
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	sets = append(sets, fault.New(0).Stats().Registry().Values())
+	sets = append(sets, fault.New(0).Stats().Values())
 	return obs.WriteDoc(w, sets...)
 }

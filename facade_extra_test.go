@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
-	"strings"
 	"testing"
 	"time"
 
@@ -87,49 +86,6 @@ func TestFacadeCustomTool(t *testing.T) {
 		}
 		if got != want {
 			return fmt.Errorf("tool checksum %08x, want %08x", got, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-func TestFacadeTrace(t *testing.T) {
-	sys, err := New(Config{Nodes: 2, Trace: true, DiskLatency: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sys.Run(func(s *Session) error {
-		s.Create("f")
-		s.Append("f", []byte("traced"))
-		s.ReadAt("f", 0)
-		var sb strings.Builder
-		if err := s.Inspect().TraceDump(&sb); err != nil {
-			return err
-		}
-		out := sb.String()
-		if !strings.Contains(out, "msg.send") {
-			return fmt.Errorf("trace missing message events: %.200s", out)
-		}
-		// The read of block 0 hits the write-through cache, so only
-		// writes are guaranteed to reach the device.
-		if !strings.Contains(out, "disk.write") {
-			return fmt.Errorf("trace missing disk events: %.200s", out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-func TestFacadeTraceDisabled(t *testing.T) {
-	sys := fastSystem(t, 2)
-	err := sys.Run(func(s *Session) error {
-		var buf bytes.Buffer
-		if err := s.Inspect().TraceDump(&buf); err == nil {
-			return fmt.Errorf("WriteTrace without Config.Trace succeeded")
 		}
 		return nil
 	})

@@ -142,7 +142,7 @@ func TestFailoverChaosByteIdenticalTrace(t *testing.T) {
 
 // chaosStat reads one injector counter by name.
 func chaosStat(inj *FaultInjector, name string) int64 {
-	for _, v := range inj.Stats().Registry().Values() {
+	for _, v := range inj.Stats().Values() {
 		if v.Name == name {
 			return v.Count
 		}

@@ -30,9 +30,11 @@ var Analyzer = &analysis.Analyzer{
 // observableCalls maps package-path base → method/function names whose
 // call order is observable simulation state.
 var observableCalls = map[string]map[string]bool{
-	"sim":   {"Send": true, "SendDelayed": true, "Close": true},
-	"msg":   {"Send": true, "SendDelayed": true, "Call": true, "CallTimeout": true, "Close": true},
-	"trace": nil, // every call into the trace package is observable
+	"sim": {"Send": true, "SendDelayed": true, "Close": true},
+	"msg": {"Send": true, "SendDelayed": true, "Call": true, "CallTimeout": true, "Close": true},
+	// The recorder's timeline and ID allocation: spans, events, samples
+	// and trace IDs come out in call order.
+	"obs": {"Start": true, "Event": true, "Annotate": true, "Sample": true, "NewTrace": true},
 }
 
 func run(pass *analysis.Pass) error {

@@ -42,6 +42,12 @@ type SpanRef struct {
 	idx int
 }
 
+// Event records an instantaneous event.
+func (r *Recorder) Event(at time.Duration, trace TraceID, kind, detail string) {}
+
+// Sample records one gauge observation.
+func (r *Recorder) Sample(at time.Duration, node int, name string, v int64) {}
+
 func (s SpanRef) ID() SpanID { return SpanID(s.idx) }
 
 func (s SpanRef) SetQueueWait(d time.Duration) {}

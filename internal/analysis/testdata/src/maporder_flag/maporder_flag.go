@@ -2,6 +2,9 @@
 package maporder_flag
 
 import (
+	"time"
+
+	"bridge/internal/obs"
 	"bridge/internal/sim"
 )
 
@@ -29,5 +32,19 @@ func ChannelSend(m map[int]int, ch chan int) {
 func CloseInOrder(qs map[int]sim.Queue) {
 	for _, q := range qs { // want `map iteration order reaches sim\.Close`
 		q.Close()
+	}
+}
+
+// Recorder events land on the timeline in call order: observable.
+func EventsInOrder(rec *obs.Recorder, faults map[string]string) {
+	for kind, detail := range faults { // want `map iteration order reaches obs\.Event`
+		rec.Event(time.Second, 0, kind, detail)
+	}
+}
+
+// So do annotations on a span.
+func AnnotateInOrder(sp obs.SpanRef, notes map[int]string) {
+	for _, n := range notes { // want `map iteration order reaches obs\.Annotate`
+		sp.Annotate(n)
 	}
 }

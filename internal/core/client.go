@@ -89,7 +89,7 @@ func newShardClient(proc sim.Proc, net *msg.Network, node msg.NodeID, name strin
 		member:  make(map[msg.Addr]memberIx),
 		leaders: make([]int, len(groups)),
 		timeout: 10 * time.Minute, // covers the longest legitimate operation
-		retries: net.Stats().Registry().Counter("bridge.client_retries", "calls", "Client-level retransmissions of timed-out Bridge calls."),
+		retries: net.Stats().Counter("bridge.client_retries", "calls", "Client-level retransmissions of timed-out Bridge calls."),
 	}
 	for g, members := range groups {
 		if len(members) == 0 {

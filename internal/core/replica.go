@@ -257,8 +257,8 @@ func StartReplica(rt sim.Runtime, net *msg.Network, cfg Config, nodes []msg.Node
 			Store: spec.Store,
 		}),
 		spec:     spec,
-		rm:       newRaftMetrics(net.Stats().Registry()),
-		sm:       newShardMetrics(net.Stats().Registry(), spec.Shard),
+		rm:       newRaftMetrics(net.Stats()),
+		sm:       newShardMetrics(net.Stats(), spec.Shard),
 		ops:      make(map[opKey]ropRec),
 		wbLow:    make(map[string]int64),
 		deferred: make(map[string]string),

@@ -199,7 +199,7 @@ func newServer(net *msg.Network, cfg Config, nodes []msg.NodeID) *Server {
 		cursors: make(map[cursorKey]*cursor),
 		jobs:    make(map[uint64]*job),
 		dedup:   make(map[dedupKey]any),
-		m:       newSrvMetrics(net.Stats().Registry()),
+		m:       newSrvMetrics(net.Stats()),
 	}
 	if cfg.LFSRetry != nil {
 		// Fold the port name into the jitter seed so the servers of a

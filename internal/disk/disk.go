@@ -18,8 +18,6 @@ import (
 
 	"bridge/internal/obs"
 	"bridge/internal/sim"
-	"bridge/internal/stats"
-	"bridge/internal/trace"
 )
 
 // Errors returned by disk operations.
@@ -124,12 +122,10 @@ type CrashHook interface {
 // by a single LFS process, as in the paper.
 type Disk struct {
 	cfg       Config
-	stats     *stats.Counters
-	tracer    *trace.Tracer // nil = tracing off
-	name      string
+	stats     *obs.Registry
 	fault     FaultHook // nil = no fault injection
 	corrupter Corrupter // d.fault's Corrupter side, if it has one
-	label     string    // device name passed to the fault hook
+	label     string    // device name passed to the hooks and named in events
 	m         diskMetrics
 	crash     CrashHook // nil = crashes drop every unsynced write
 	mu        sync.Mutex
@@ -170,11 +166,10 @@ func New(cfg Config) *Disk {
 	if cfg.NumBlocks <= 0 {
 		panic("disk: NumBlocks must be positive")
 	}
-	st := stats.New()
-	reg := st.Registry()
+	reg := obs.NewRegistry()
 	return &Disk{
 		cfg:     cfg,
-		stats:   st,
+		stats:   reg,
 		blocks:  make([][]byte, cfg.NumBlocks),
 		pending: make(map[int][]byte),
 		m: diskMetrics{
@@ -216,14 +211,7 @@ func (d *Disk) Store() *FileStore { return d.store }
 func (d *Disk) Config() Config { return d.cfg }
 
 // Stats returns the device counters: ops, blocks transferred, busy time.
-func (d *Disk) Stats() *stats.Counters { return d.stats }
-
-// SetTracer enables per-access tracing under the given name (nil disables).
-func (d *Disk) SetTracer(t *trace.Tracer, name string) {
-	d.mu.Lock()
-	d.tracer, d.name = t, name
-	d.mu.Unlock()
-}
+func (d *Disk) Stats() *obs.Registry { return d.stats }
 
 // SetRecorder enables per-access span recording onto rec (nil disables);
 // node is the cluster node index stamped on the spans.
@@ -302,9 +290,9 @@ func (d *Disk) Crash(now time.Duration) {
 		copy(b[:torn], d.pending[bn][:torn])
 		d.commit(bn, b)
 	}
-	if d.tracer != nil {
-		d.tracer.Emitf(now, "disk.crash", "%s lost %d unsynced writes (kept %d, torn %d bytes)",
-			d.name, len(d.pendingOrder)-keep, keep, torn)
+	if d.rec != nil {
+		d.rec.Event(now, d.trace, "disk.crash", fmt.Sprintf("%s lost %d unsynced writes (kept %d, torn %d bytes)",
+			d.label, len(d.pendingOrder)-keep, keep, torn))
 	}
 	d.pending = make(map[int][]byte)
 	d.pendingOrder = nil
@@ -360,7 +348,6 @@ func (d *Disk) Sync(p sim.Proc) error {
 	for _, bn := range d.pendingOrder {
 		d.commit(bn, d.pending[bn])
 	}
-	flushed := len(d.pendingOrder)
 	d.pending = make(map[int][]byte)
 	d.pendingOrder = nil
 	var t time.Duration
@@ -373,9 +360,6 @@ func (d *Disk) Sync(p sim.Proc) error {
 		t = d.cfg.SyncTime
 		d.m.syncs.Add(1)
 		d.m.busy.Add(t)
-		if d.tracer != nil {
-			d.tracer.Emitf(p.Now(), "disk.sync", "%s flushed %d blocks %v", d.name, flushed, t)
-		}
 		if d.rec != nil {
 			sp := d.rec.Start(p.Now(), d.trace, d.parent, "disk.sync", d.node)
 			sp.End(p.Now()+t, nil)
@@ -431,9 +415,6 @@ func (d *Disk) access(p sim.Proc, op Op, bn int, blocks int) time.Duration {
 		d.nWrites++
 	}
 	d.m.busy.Add(t)
-	if d.tracer != nil {
-		d.tracer.Emitf(p.Now(), kind, "%s block %d (+%d) %v", d.name, bn, blocks, t)
-	}
 	if d.rec != nil {
 		// The access is a complete span: service begins now and the caller
 		// charges t after unlocking, so the device is busy [now, now+t).
@@ -471,11 +452,8 @@ func (d *Disk) inject(p sim.Proc, op Op, bn, blocks int) (extra time.Duration, t
 	if err != nil {
 		t = d.access(p, op, bn, blocks)
 		d.m.faultErrors.Add(1)
-		if d.tracer != nil {
-			d.tracer.Emitf(p.Now(), "disk.fault", "%s block %d: %v", d.name, bn, err)
-		}
 		if d.rec != nil {
-			d.rec.Event(p.Now(), d.trace, "disk.fault", fmt.Sprintf("%s block %d: %v", d.name, bn, err))
+			d.rec.Event(p.Now(), d.trace, "disk.fault", fmt.Sprintf("%s block %d: %v", d.label, bn, err))
 		}
 	}
 	return extra, t, err

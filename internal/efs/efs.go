@@ -26,7 +26,6 @@ import (
 	"bridge/internal/disk"
 	"bridge/internal/obs"
 	"bridge/internal/sim"
-	"bridge/internal/stats"
 )
 
 // Options configures volume geometry at Format time and runtime knobs at
@@ -80,11 +79,30 @@ type FS struct {
 	// scrubNext is the incremental scrubber's cursor (next block address to
 	// examine); see scrub.go.
 	scrubNext int32
-	stats     *stats.Counters
+	stats     *obs.Registry
+	m         fsMetrics
 	// jnl is the write-ahead intent journal state; nil on unjournaled
 	// volumes. replay describes the journal replay done at mount, if any.
 	jnl    *journal
 	replay *ReplayStats
+}
+
+// fsMetrics are the volume's typed metric handles, registered on its own
+// registry.
+type fsMetrics struct {
+	cacheHits, cacheMisses obs.Counter
+	locHits                obs.Counter
+	walks, walkSteps       obs.Counter
+}
+
+func newFSMetrics(reg *obs.Registry) fsMetrics {
+	return fsMetrics{
+		cacheHits:   reg.Counter("efs.cache_hits", "reads", "block reads served from the cache or an uncommitted journaled image"),
+		cacheMisses: reg.Counter("efs.cache_misses", "reads", "block reads that missed the cache and read a whole track"),
+		locHits:     reg.Counter("efs.loc_hits", "lookups", "block lookups answered by the block-location map"),
+		walks:       reg.Counter("efs.walks", "lookups", "block lookups that walked a file's linked chain"),
+		walkSteps:   reg.Counter("efs.walk_steps", "blocks", "chain links followed during walks"),
+	}
 }
 
 // bucketChain is a loaded directory bucket plus its overflow blocks.
@@ -126,8 +144,9 @@ func Format(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		cache:   newBlockCache(opts.CacheBlocks),
 		loc:     make(map[fileKey]int32),
 		buckets: make(map[int]*bucketChain),
-		stats:   stats.New(),
+		stats:   obs.NewRegistry(),
 	}
+	fs.m = newFSMetrics(fs.stats)
 	for i := 0; i < dataStart; i++ {
 		fs.bm.set(i)
 	}
@@ -163,7 +182,7 @@ func Format(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 	if opts.JournalBlocks > 0 {
 		reg := opts.Metrics
 		if reg == nil {
-			reg = fs.stats.Registry()
+			reg = fs.stats
 		}
 		fs.jnl = newJournal(fs.sb, newJMetrics(reg))
 		if err := writeJournalHeader(p, d, fs.jnl.end, fs.sb.JournalBlocks, fs.jnl.epoch); err != nil {
@@ -185,10 +204,10 @@ func Mount(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 	if d.Config().BlockSize != BlockSize {
 		return nil, fmt.Errorf("efs: disk block size %d, want %d", d.Config().BlockSize, BlockSize)
 	}
-	st := stats.New()
+	st := obs.NewRegistry()
 	reg := opts.Metrics
 	if reg == nil {
-		reg = st.Registry()
+		reg = st
 	}
 	sb, replay, epoch, err := mountJournal(p, d, reg)
 	if err != nil {
@@ -205,6 +224,7 @@ func Mount(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 		loc:     make(map[fileKey]int32),
 		buckets: make(map[int]*bucketChain),
 		stats:   st,
+		m:       newFSMetrics(st),
 		replay:  replay,
 	}
 	if sb.JournalBlocks > 0 {
@@ -227,8 +247,9 @@ func Mount(p sim.Proc, d *disk.Disk, opts Options) (*FS, error) {
 	return fs, nil
 }
 
-// Stats returns the volume's counters (cache hits/misses, list-walk steps).
-func (fs *FS) Stats() *stats.Counters { return fs.stats }
+// Stats returns the volume's metrics registry (cache hits/misses, list
+// walks, and the journal metrics when Options.Metrics is nil).
+func (fs *FS) Stats() *obs.Registry { return fs.stats }
 
 // Disk returns the underlying device.
 func (fs *FS) Disk() *disk.Disk { return fs.d }
@@ -247,17 +268,17 @@ func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 	// is stale until the next commit applies it.
 	if fs.jnl != nil {
 		if b, ok := fs.jnl.data[addr]; ok {
-			fs.stats.Add("efs.cache_hits", 1)
+			fs.m.cacheHits.Add(1)
 			out := make([]byte, len(b))
 			copy(out, b)
 			return out, nil
 		}
 	}
 	if b, ok := fs.cache.get(addr); ok {
-		fs.stats.Add("efs.cache_hits", 1)
+		fs.m.cacheHits.Add(1)
 		return b, nil
 	}
-	fs.stats.Add("efs.cache_misses", 1)
+	fs.m.cacheMisses.Add(1)
 	first, blocks, err := fs.d.ReadTrack(p, int(addr))
 	if err != nil {
 		return nil, fmt.Errorf("efs: reading block %d: %w", addr, err)

@@ -11,9 +11,9 @@ import (
 	"bridge/internal/disk"
 	"bridge/internal/fault"
 	"bridge/internal/lfs"
+	"bridge/internal/obs"
 	"bridge/internal/replica"
 	"bridge/internal/sim"
-	"bridge/internal/trace"
 )
 
 func chaosPayload(i int) []byte {
@@ -22,6 +22,28 @@ func chaosPayload(i int) []byte {
 		b[j] = byte(i*131 + j*7)
 	}
 	return b
+}
+
+// recordCluster installs one observability recorder on the cluster's
+// network and every disk, so client ops, their server/LFS/disk spans, and
+// every injected fault land on a single timeline.
+func recordCluster(cl *core.Cluster) *obs.Recorder {
+	rec := obs.NewRecorder(obs.Config{SpanCap: 1 << 20})
+	cl.Net.SetRecorder(rec)
+	for _, nd := range cl.Nodes {
+		nd.Disk.SetRecorder(rec, int(nd.ID))
+	}
+	return rec
+}
+
+// chromeTrace exports rec as Chrome trace JSON, the replay witness.
+func chromeTrace(t *testing.T, rec *obs.Recorder) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := rec.WriteChromeTrace(&sb); err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	return sb.String()
 }
 
 // runChaos executes one full seeded chaos scenario against a mirrored file:
@@ -37,9 +59,7 @@ func runChaos(t *testing.T, seed int64) (string, [][]byte) {
 		n = 40
 	)
 	rt := sim.NewVirtual()
-	tr := trace.New(1 << 20)
 	inj := fault.New(seed)
-	inj.SetTracer(tr)
 	inj.MsgWindow(2*time.Second, 5*time.Second, fault.MsgFaults{
 		DropProb:  0.05,
 		DupProb:   0.05,
@@ -68,7 +88,7 @@ func runChaos(t *testing.T, seed int64) (string, [][]byte) {
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
 	}
-	cl.Net.SetTracer(tr)
+	rec := recordCluster(cl)
 	inj.AttachNetwork(cl.Net)
 	for i, nd := range cl.Nodes {
 		inj.AttachDisk(nd.Disk, fmt.Sprintf("disk%d", i))
@@ -154,11 +174,7 @@ func runChaos(t *testing.T, seed int64) (string, [][]byte) {
 	if retries == 0 {
 		t.Error("no retransmissions — the retry (and jitter) path never bit")
 	}
-	var sb strings.Builder
-	if _, err := tr.WriteTo(&sb); err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	return sb.String(), contents
+	return chromeTrace(t, rec), contents
 }
 
 func TestChaosRunRepairsAndVerifies(t *testing.T) {

@@ -56,16 +56,17 @@ func runCorruptionChaos(t *testing.T, seed int64) (string, [][]byte) {
 	inj := bridge.NewFaultInjector(seed)
 	sys, err := bridge.New(bridge.Config{
 		Nodes: p,
-		Trace: true,
 		Fault: inj,
 		Scrub: &bridge.ScrubConfig{},
+		Obs:   &bridge.ObsConfig{},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	var trc strings.Builder
+	var insp bridge.Inspector
 	var contents [][]byte
 	err = sys.Run(func(s *bridge.Session) error {
+		insp = s.Inspect()
 		m, err := s.NewMirror("mf")
 		if err != nil {
 			return fmt.Errorf("NewMirror: %w", err)
@@ -224,10 +225,17 @@ func runCorruptionChaos(t *testing.T, seed int64) (string, [][]byte) {
 		if inj.Stats().Get("fault.disk_misdirected") != 1 {
 			t.Errorf("injector misdirected %d writes, want 1", inj.Stats().Get("fault.disk_misdirected"))
 		}
-		return s.Inspect().TraceDump(&trc)
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("run (seed %d): %v", seed, err)
+	}
+	if n := insp.DroppedSpans(); n != 0 {
+		t.Errorf("%d spans dropped at the recorder cap", n)
+	}
+	var trc strings.Builder
+	if err := insp.WriteChromeTrace(&trc); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	return trc.String(), contents
 }

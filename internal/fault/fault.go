@@ -23,8 +23,6 @@ import (
 	"bridge/internal/disk"
 	"bridge/internal/msg"
 	"bridge/internal/obs"
-	"bridge/internal/stats"
-	"bridge/internal/trace"
 )
 
 // ErrInjected is the base error of every injected disk fault, so callers
@@ -108,7 +106,7 @@ type misdirect struct {
 // concurrent use.
 type Injector struct {
 	seed  int64
-	stats *stats.Counters
+	stats *obs.Registry
 	m     injMetrics
 
 	// mu guards everything below, including the rng: the hook methods run
@@ -116,7 +114,7 @@ type Injector struct {
 	// unlocked rand.Rand would corrupt its own state — and with it the
 	// determinism contract. Never use global math/rand here.
 	mu          sync.Mutex
-	tracer      *trace.Tracer
+	net         *msg.Network // set by AttachNetwork; its recorder takes the fault events
 	rng         *rand.Rand
 	msgRules    []msgRule
 	partitions  []partition
@@ -178,14 +176,14 @@ func newInjMetrics(r *obs.Registry) injMetrics {
 func New(seed int64) *Injector {
 	in := &Injector{
 		seed:       seed,
-		stats:      stats.New(),
+		stats:      obs.NewRegistry(),
 		rng:        rand.New(rand.NewSource(seed)),
 		badBlocks:  make(map[diskBlock]bool),
 		rotPending: make(map[diskBlock]bool),
 		misdirects: make(map[misdirect]int),
 		blockSizes: make(map[string]int),
 	}
-	in.m = newInjMetrics(in.stats.Registry())
+	in.m = newInjMetrics(in.stats)
 	return in
 }
 
@@ -193,15 +191,7 @@ func New(seed int64) *Injector {
 func (in *Injector) Seed() int64 { return in.seed }
 
 // Stats returns the injector's counters: faults injected by kind.
-func (in *Injector) Stats() *stats.Counters { return in.stats }
-
-// SetTracer emits an event for every injected fault (nil disables). The
-// hooks read the tracer under in.mu, so installation must hold it too.
-func (in *Injector) SetTracer(t *trace.Tracer) {
-	in.mu.Lock()
-	in.tracer = t
-	in.mu.Unlock()
-}
+func (in *Injector) Stats() *obs.Registry { return in.stats }
 
 // MsgWindow injects message faults between virtual times from and to.
 func (in *Injector) MsgWindow(from, to time.Duration, f MsgFaults) {
@@ -262,8 +252,15 @@ func (in *Injector) MisdirectWrite(label string, fromBn, toBn int) {
 	in.misdirects[misdirect{label, fromBn}] = toBn
 }
 
-// AttachNetwork installs the injector as net's fault hook.
-func (in *Injector) AttachNetwork(net *msg.Network) { net.SetFault(in) }
+// AttachNetwork installs the injector as net's fault hook. From then on
+// every injected fault is also recorded as a fault.* event on the
+// network's observability recorder, when it has one.
+func (in *Injector) AttachNetwork(net *msg.Network) {
+	in.mu.Lock()
+	in.net = net
+	in.mu.Unlock()
+	net.SetFault(in)
+}
 
 // AttachDisk installs the injector as d's fault hook and crash hook under
 // the given label.
@@ -310,9 +307,9 @@ func (in *Injector) OnCrash(now time.Duration, label string, pending []int) disk
 		// least one byte did not.
 		out.TornBytes = 1 + in.rng.Intn(bs-1)
 		in.m.diskTorn.Add(1)
-		in.emit(now, "fault.torn", "%s block %d first %d bytes", label, pending[out.Keep], out.TornBytes)
+		in.emit(now, 0, "fault.torn", "%s block %d first %d bytes", label, pending[out.Keep], out.TornBytes)
 	}
-	in.emit(now, "fault.lostwrites", "%s kept %d of %d unsynced", label, out.Keep, len(pending))
+	in.emit(now, 0, "fault.lostwrites", "%s kept %d of %d unsynced", label, out.Keep, len(pending))
 	return out
 }
 
@@ -323,7 +320,7 @@ func (in *Injector) Deliver(now time.Duration, from msg.NodeID, to msg.Addr, m *
 	for _, p := range in.partitions {
 		if p.contains(now) && ((p.a == from && p.b == to.Node) || (p.b == from && p.a == to.Node)) {
 			in.m.msgPartitioned.Add(1)
-			in.emit(now, "fault.partition", "n%d -/- %v", from, to)
+			in.emit(now, m.Trace, "fault.partition", "n%d -/- %v", from, to)
 			return msg.Fate{Drop: true}
 		}
 	}
@@ -339,19 +336,19 @@ func (in *Injector) Deliver(now time.Duration, from msg.NodeID, to msg.Addr, m *
 		delay := in.rng.Float64() < r.f.DelayProb
 		if drop {
 			in.m.msgDropped.Add(1)
-			in.emit(now, "fault.drop", "n%d -> %v %T", from, to, m.Body)
+			in.emit(now, m.Trace, "fault.drop", "n%d -> %v %T", from, to, m.Body)
 			return msg.Fate{Drop: true}
 		}
 		if dup {
 			fate.Duplicates++
 			in.m.msgDuplicated.Add(1)
-			in.emit(now, "fault.dup", "n%d -> %v %T", from, to, m.Body)
+			in.emit(now, m.Trace, "fault.dup", "n%d -> %v %T", from, to, m.Body)
 		}
 		if delay && r.f.DelayMax > 0 {
 			d := time.Duration(in.rng.Int63n(int64(r.f.DelayMax))) + 1
 			fate.ExtraDelay += d
 			in.m.msgDelayed.Add(1)
-			in.emit(now, "fault.delay", "n%d -> %v %T +%v", from, to, m.Body, d)
+			in.emit(now, m.Trace, "fault.delay", "n%d -> %v %T +%v", from, to, m.Body, d)
 		}
 	}
 	return fate
@@ -368,7 +365,7 @@ func (in *Injector) BeforeOp(now time.Duration, label string, op disk.Op, bn int
 			delete(in.badBlocks, key)
 		} else {
 			in.m.diskBadBlock.Add(1)
-			in.emit(now, "fault.badblock", "%s block %d", label, bn)
+			in.emit(now, 0, "fault.badblock", "%s block %d", label, bn)
 			return 0, fmt.Errorf("%w: latent bad block %d on %s", ErrInjected, bn, label)
 		}
 	}
@@ -384,7 +381,7 @@ func (in *Injector) BeforeOp(now time.Duration, label string, op disk.Op, bn int
 		}
 		if in.rng.Float64() < prob {
 			in.m.diskTransient.Add(1)
-			in.emit(now, "fault.diskerr", "%s block %d", label, bn)
+			in.emit(now, 0, "fault.diskerr", "%s block %d", label, bn)
 			return extra, fmt.Errorf("%w: transient %s error on %s block %d", ErrInjected, opName(op), label, bn)
 		}
 	}
@@ -421,7 +418,7 @@ func (in *Injector) CorruptBlock(now time.Duration, label string, bn int, data [
 	bit := in.rng.Intn(len(data) * 8)
 	data[bit/8] ^= 1 << (uint(bit) % 8)
 	in.m.diskBitrot.Add(1)
-	in.emit(now, "fault.bitrot", "%s block %d bit %d", label, bn, bit)
+	in.emit(now, 0, "fault.bitrot", "%s block %d bit %d", label, bn, bit)
 	return true
 }
 
@@ -437,7 +434,7 @@ func (in *Injector) RedirectWrite(now time.Duration, label string, bn int) int {
 	}
 	delete(in.misdirects, key)
 	in.m.diskMisdirected.Add(1)
-	in.emit(now, "fault.misdirect", "%s block %d -> %d", label, bn, to)
+	in.emit(now, 0, "fault.misdirect", "%s block %d -> %d", label, bn, to)
 	return to
 }
 
@@ -448,9 +445,11 @@ func opName(op disk.Op) string {
 	return "read"
 }
 
-// emit records a fault event; callers hold in.mu.
-func (in *Injector) emit(now time.Duration, kind, format string, args ...any) {
-	if in.tracer != nil {
-		in.tracer.Emitf(now, kind, format, args...)
+// emit records a fault event on the attached network's recorder; callers
+// hold in.mu.
+func (in *Injector) emit(now time.Duration, tr obs.TraceID, kind, format string, args ...any) {
+	if in.net == nil || in.net.Recorder() == nil {
+		return
 	}
+	in.net.Recorder().Event(now, tr, kind, fmt.Sprintf(format, args...))
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"bridge"
 	"bridge/internal/fault"
+	"bridge/internal/obs"
 )
 
 func obsChaosPayload(i int) []byte {
@@ -19,13 +21,21 @@ func obsChaosPayload(i int) []byte {
 	return b
 }
 
+// obsChaosRun is what runObsChaos observed: the Inspector (valid after Run,
+// once the simulation has drained), the injector, the recorded events, and
+// the exported Chrome trace.
+type obsChaosRun struct {
+	insp   bridge.Inspector
+	inj    *bridge.FaultInjector
+	events []obs.Event
+	trace  string
+}
+
 // runObsChaos executes a seeded chaos scenario — a lossy message window plus
-// a node crash and restart mid-stream — with full observability on, and
-// returns the Inspector (valid after Run, once the simulation has drained)
-// together with the exported Chrome trace. Every hard path is exercised:
-// client and server retries, ErrNodeDown fast-fails, degraded mirror writes,
-// node repair, and resilvering.
-func runObsChaos(t *testing.T, seed int64) (bridge.Inspector, string) {
+// a node crash and restart mid-stream — with full observability on. Every
+// hard path is exercised: client and server retries, ErrNodeDown
+// fast-fails, degraded mirror writes, node repair, and resilvering.
+func runObsChaos(t *testing.T, seed int64) obsChaosRun {
 	t.Helper()
 	const n = 30
 	inj := bridge.NewFaultInjector(seed)
@@ -54,8 +64,10 @@ func runObsChaos(t *testing.T, seed int64) (bridge.Inspector, string) {
 		t.Fatalf("New: %v", err)
 	}
 	var insp bridge.Inspector
+	var rec *obs.Recorder
 	err = sys.Run(func(s *bridge.Session) error {
 		insp = s.Inspect()
+		rec = s.Network().Recorder()
 		s.SetTimeout(2 * time.Second)
 		m, err := s.NewMirror("f")
 		if err != nil {
@@ -97,14 +109,14 @@ func runObsChaos(t *testing.T, seed int64) (bridge.Inspector, string) {
 	if err := insp.WriteChromeTrace(&trc); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
-	return insp, trc.String()
+	return obsChaosRun{insp: insp, inj: inj, events: rec.Events(), trace: trc.String()}
 }
 
 // TestObsChaosSpanLifecycle proves that under retries, timeouts, node death,
 // and repair, every span is closed exactly once by the time the simulation
 // drains, and that failures and retransmissions are visible on the spans.
 func TestObsChaosSpanLifecycle(t *testing.T) {
-	insp, _ := runObsChaos(t, corruptionSeed())
+	insp := runObsChaos(t, corruptionSeed()).insp
 	if n := insp.OpenSpans(); n != 0 {
 		t.Errorf("OpenSpans = %d, want 0 after drain", n)
 	}
@@ -131,9 +143,46 @@ func TestObsChaosSpanLifecycle(t *testing.T) {
 	}
 }
 
+// TestObsChaosFaultEvents requires every injected message fault to appear
+// exactly once on the obs timeline: one event per drop, duplicate, and
+// delay, matching the injector's counters, and no second record of a drop.
+func TestObsChaosFaultEvents(t *testing.T) {
+	run := runObsChaos(t, corruptionSeed())
+	kinds := map[string]int64{}
+	drops := int64(0)
+	for _, e := range run.events {
+		kinds[e.Kind]++
+		if strings.HasSuffix(e.Kind, "drop") {
+			drops++
+		}
+	}
+	for kind, counter := range map[string]string{
+		"fault.drop":  "fault.msg_dropped",
+		"fault.dup":   "fault.msg_duplicated",
+		"fault.delay": "fault.msg_delayed",
+	} {
+		want := run.inj.Stats().Get(counter)
+		if want == 0 {
+			t.Errorf("%s = 0: the fault window never injected it", counter)
+		}
+		if kinds[kind] != want {
+			t.Errorf("%d %s events, want %d (%s)", kinds[kind], kind, want, counter)
+		}
+	}
+	if want := run.inj.Stats().Get("fault.msg_dropped"); drops != want {
+		t.Errorf("%d drop events, want one per dropped message (%d)", drops, want)
+	}
+	for _, kind := range []string{"fault.crash", "fault.restart"} {
+		if kinds[kind] != 1 {
+			t.Errorf("%d %s events, want 1", kinds[kind], kind)
+		}
+	}
+}
+
 // TestObsReadRepairSpanLifecycle covers the remaining hard span path: a
 // read that detects silent corruption and repairs it in place from the
-// mirror copy must still close every span exactly once.
+// mirror copy must still close every span exactly once. A latent bad block
+// found by a scrub must surface as a disk.fault event naming its disk.
 func TestObsReadRepairSpanLifecycle(t *testing.T) {
 	inj := bridge.NewFaultInjector(corruptionSeed())
 	sys, err := bridge.New(bridge.Config{
@@ -147,8 +196,10 @@ func TestObsReadRepairSpanLifecycle(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	var insp bridge.Inspector
+	var rec *obs.Recorder
 	err = sys.Run(func(s *bridge.Session) error {
 		insp = s.Inspect()
+		rec = s.Network().Recorder()
 		m, err := s.NewMirror("mf")
 		if err != nil {
 			return err
@@ -177,6 +228,16 @@ func TestObsReadRepairSpanLifecycle(t *testing.T) {
 		if got := s.Metrics().Counter("bridge.readrepair_mirror"); got == 0 {
 			t.Error("no mirror read-repair recorded; the corrupt read did not take the repair path")
 		}
+		// A latent bad superblock on node 1: only a scrub reads it, and the
+		// sweep reports the I/O error instead of failing.
+		inj.BadBlock("disk1", 0)
+		rep, err := s.Scrub(1)
+		if err != nil {
+			return fmt.Errorf("scrub node 1: %w", err)
+		}
+		if len(rep.Errors) == 0 || rep.Errors[0].Addr != 0 {
+			t.Errorf("scrub of node 1 missed the bad superblock: %+v", rep.Errors)
+		}
 		return nil
 	})
 	if err != nil {
@@ -188,6 +249,19 @@ func TestObsReadRepairSpanLifecycle(t *testing.T) {
 	if n := insp.DoubleEnds(); n != 0 {
 		t.Errorf("DoubleEnds = %d, want 0", n)
 	}
+	diskEvents := 0
+	for _, e := range rec.Events() {
+		if !strings.HasPrefix(e.Kind, "disk.") {
+			continue
+		}
+		diskEvents++
+		if !strings.HasPrefix(e.Detail, "disk1 ") {
+			t.Errorf("%s event does not name its disk: %q", e.Kind, e.Detail)
+		}
+	}
+	if diskEvents == 0 {
+		t.Error("no disk.* events recorded for the bad block")
+	}
 }
 
 // TestObsChaosTraceReplaysExactly requires the Chrome trace of a full chaos
@@ -195,7 +269,7 @@ func TestObsReadRepairSpanLifecycle(t *testing.T) {
 // set the first run's trace is written there (the CI artifact).
 func TestObsChaosTraceReplaysExactly(t *testing.T) {
 	seed := corruptionSeed()
-	_, tr1 := runObsChaos(t, seed)
+	tr1 := runObsChaos(t, seed).trace
 	if t.Failed() {
 		return
 	}
@@ -204,11 +278,11 @@ func TestObsChaosTraceReplaysExactly(t *testing.T) {
 			t.Fatalf("write %s: %v", out, err)
 		}
 	}
-	_, tr2 := runObsChaos(t, seed)
+	tr2 := runObsChaos(t, seed).trace
 	if tr1 != tr2 {
 		t.Error("same seed produced different Chrome traces")
 	}
-	_, tr3 := runObsChaos(t, seed+1000)
+	tr3 := runObsChaos(t, seed+1000).trace
 	if tr3 == tr1 {
 		t.Error("different seed replayed the first trace exactly")
 	}

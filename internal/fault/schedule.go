@@ -104,9 +104,9 @@ func (in *Injector) Drive(rt sim.Runtime, ctl NodeController) {
 	})
 }
 
-// emitLocked is emit for callers that do not hold in.mu.
+// emitLocked is emit, untraced, for callers that do not hold in.mu.
 func (in *Injector) emitLocked(now time.Duration, kind, format string, args ...any) {
 	in.mu.Lock()
-	in.emit(now, kind, format, args...)
+	in.emit(now, 0, kind, format, args...)
 	in.mu.Unlock()
 }

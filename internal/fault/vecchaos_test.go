@@ -3,7 +3,6 @@ package fault_test
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"bridge/internal/fault"
 	"bridge/internal/lfs"
 	"bridge/internal/sim"
-	"bridge/internal/trace"
 )
 
 // runVecChaos drives the vectored scatter-gather path (WriteAtN / SeqReadN
@@ -29,9 +27,7 @@ func runVecChaos(t *testing.T, seed int64) (string, [][]byte) {
 		batch = 16
 	)
 	rt := sim.NewVirtual()
-	tr := trace.New(1 << 20)
 	inj := fault.New(seed)
-	inj.SetTracer(tr)
 	inj.MsgWindow(2*time.Second, 7*time.Second, fault.MsgFaults{
 		DropProb:  0.05,
 		DupProb:   0.05,
@@ -56,7 +52,7 @@ func runVecChaos(t *testing.T, seed int64) (string, [][]byte) {
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
 	}
-	cl.Net.SetTracer(tr)
+	rec := recordCluster(cl)
 	inj.AttachNetwork(cl.Net)
 	for i, nd := range cl.Nodes {
 		inj.AttachDisk(nd.Disk, fmt.Sprintf("disk%d", i))
@@ -258,11 +254,7 @@ func runVecChaos(t *testing.T, seed int64) (string, [][]byte) {
 	if cl.Net.Stats().Get("bridge.ra_hits") == 0 {
 		t.Error("no read-ahead hits — the batched reads bypassed the cache")
 	}
-	var sb strings.Builder
-	if _, err := tr.WriteTo(&sb); err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	return sb.String(), contents
+	return chromeTrace(t, rec), contents
 }
 
 func TestVecChaosSurvivesAndVerifies(t *testing.T) {

@@ -126,7 +126,7 @@ const writeDedupCap = 1024
 // it already holds a volume). Only the file-backed path can fail.
 func StartNode(rt sim.Runtime, net *msg.Network, id msg.NodeID, cfg Config, existing *disk.Disk) (*Node, error) {
 	cfg.applyDefaults()
-	reg := net.Stats().Registry()
+	reg := net.Stats()
 	if cfg.EFS.Metrics == nil {
 		cfg.EFS.Metrics = reg
 	}

@@ -20,8 +20,6 @@ import (
 
 	"bridge/internal/obs"
 	"bridge/internal/sim"
-	"bridge/internal/stats"
-	"bridge/internal/trace"
 )
 
 // NodeID identifies a processor node. The Bridge Server conventionally runs
@@ -114,12 +112,11 @@ type FaultHook interface {
 
 // Network connects ports and applies the cost model.
 type Network struct {
-	rt     sim.Runtime
-	cfg    Config
-	stats  *stats.Counters
-	tracer *trace.Tracer // nil = tracing off
-	rec    *obs.Recorder // nil = observability off
-	fault  FaultHook     // nil = no fault injection
+	rt    sim.Runtime
+	cfg   Config
+	stats *obs.Registry
+	rec   *obs.Recorder // nil = observability off
+	fault FaultHook     // nil = no fault injection
 
 	m netMetrics
 
@@ -138,9 +135,8 @@ type netMetrics struct {
 // NewNetwork creates a network over the given runtime with the given cost
 // model.
 func NewNetwork(rt sim.Runtime, cfg Config) *Network {
-	st := stats.New()
-	reg := st.Registry()
-	return &Network{rt: rt, cfg: cfg, stats: st, ports: make(map[Addr]*Port), m: netMetrics{
+	reg := obs.NewRegistry()
+	return &Network{rt: rt, cfg: cfg, stats: reg, ports: make(map[Addr]*Port), m: netMetrics{
 		sent:           reg.Counter("msg.sent", "msgs", "messages transmitted"),
 		local:          reg.Counter("msg.local", "msgs", "messages between processes on the same node"),
 		remote:         reg.Counter("msg.remote", "msgs", "messages crossing nodes"),
@@ -157,17 +153,9 @@ func (n *Network) Runtime() sim.Runtime { return n.rt }
 // Config returns the cost model.
 func (n *Network) Config() Config { return n.cfg }
 
-// Stats returns the network's counter registry (messages, bytes, local vs
-// remote traffic).
-func (n *Network) Stats() *stats.Counters { return n.stats }
-
-// SetTracer enables event tracing of every Send (nil disables). Set it
-// before the simulation starts.
-func (n *Network) SetTracer(t *trace.Tracer) { n.tracer = t }
-
-// Tracer returns the installed tracer (nil when tracing is off), so layers
-// built on the network can emit events onto the same timeline.
-func (n *Network) Tracer() *trace.Tracer { return n.tracer }
+// Stats returns the network's metrics registry (messages, bytes, local vs
+// remote traffic), shared by the layers built on the network.
+func (n *Network) Stats() *obs.Registry { return n.stats }
 
 // SetRecorder installs the observability recorder (nil disables). Set it
 // before the simulation starts. Layers built on the network fetch it with
@@ -236,17 +224,11 @@ func (n *Network) Send(p sim.Proc, fromNode NodeID, to Addr, m *Message) error {
 		n.m.remote.Add(1)
 		n.m.remoteBytes.Add(int64(m.Size + n.cfg.HeaderBytes))
 	}
-	if n.tracer != nil {
-		n.tracer.Emitf(n.rt.Now(), "msg.send", "n%d -> %v %T (%dB)", fromNode, to, m.Body, m.Size)
-	}
 	d := n.delay(fromNode, to.Node, m.Size)
 	if n.fault != nil {
 		fate := n.fault.Deliver(n.rt.Now(), fromNode, to, m)
 		if fate.Drop {
 			n.m.faultDropped.Add(1)
-			if n.rec != nil {
-				n.rec.Event(n.rt.Now(), m.Trace, "net.drop", fmt.Sprintf("n%d -> %v %T", fromNode, to, m.Body))
-			}
 			return nil
 		}
 		d += fate.ExtraDelay

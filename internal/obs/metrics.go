@@ -44,10 +44,9 @@ type Desc struct {
 // cleanly with Reset and with snapshot readers; the registry mutex guards
 // only the name map.
 type metric struct {
-	desc  Desc
-	typed bool // registered through the typed API; desc is authoritative
-	n     atomic.Int64
-	dur   atomic.Int64 // nanoseconds
+	desc Desc
+	n    atomic.Int64
+	dur  atomic.Int64 // nanoseconds
 	// gauge aggregates
 	sum, max, samples atomic.Int64
 }
@@ -73,25 +72,19 @@ func NewRegistry() *Registry {
 	return &Registry{m: make(map[string]*metric)}
 }
 
-// lookup finds or creates a metric. A typed registration over an existing
-// untyped (shim-created) metric upgrades its description; two typed
-// registrations of the same name must agree on kind.
-func (r *Registry) lookup(name string, kind MetricKind, unit, help string, typed bool) *metric {
+// lookup finds or creates a metric. Two registrations of the same name
+// must agree on kind; the later one's unit and help text win.
+func (r *Registry) lookup(name string, kind MetricKind, unit, help string) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	mt, ok := r.m[name]
 	if !ok {
-		mt = &metric{desc: Desc{Name: name, Unit: unit, Help: help, Kind: kind}, typed: typed}
+		mt = &metric{}
 		r.m[name] = mt
-		return mt
+	} else if mt.desc.Kind != kind {
+		panic(fmt.Sprintf("obs: metric %q re-registered as %v, was %v", name, kind, mt.desc.Kind))
 	}
-	if typed {
-		if mt.typed && mt.desc.Kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %v, was %v", name, kind, mt.desc.Kind))
-		}
-		mt.desc = Desc{Name: name, Unit: unit, Help: help, Kind: kind}
-		mt.typed = true
-	}
+	mt.desc = Desc{Name: name, Unit: unit, Help: help, Kind: kind}
 	return mt
 }
 
@@ -100,7 +93,7 @@ func (r *Registry) Counter(name, unit, help string) Counter {
 	if r == nil {
 		return Counter{}
 	}
-	return Counter{m: r.lookup(name, KindCounter, unit, help, true)}
+	return Counter{m: r.lookup(name, KindCounter, unit, help)}
 }
 
 // Timer registers (or finds) a virtual-duration accumulator.
@@ -108,7 +101,7 @@ func (r *Registry) Timer(name, help string) Timer {
 	if r == nil {
 		return Timer{}
 	}
-	return Timer{m: r.lookup(name, KindTimer, "duration", help, true)}
+	return Timer{m: r.lookup(name, KindTimer, "duration", help)}
 }
 
 // Gauge registers (or finds) a sampled-value gauge.
@@ -116,24 +109,7 @@ func (r *Registry) Gauge(name, unit, help string) Gauge {
 	if r == nil {
 		return Gauge{}
 	}
-	return Gauge{m: r.lookup(name, KindGauge, unit, help, true)}
-}
-
-// Add increments the named counter, creating it untyped if needed. This is
-// the compat path used by the internal/stats shim.
-func (r *Registry) Add(name string, delta int64) {
-	if r == nil {
-		return
-	}
-	r.lookup(name, KindCounter, "", "", false).n.Add(delta)
-}
-
-// AddTime accumulates a duration under the named timer (compat path).
-func (r *Registry) AddTime(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.lookup(name, KindTimer, "duration", "", false).dur.Add(int64(d))
+	return Gauge{m: r.lookup(name, KindGauge, unit, help)}
 }
 
 // Get returns the named counter's value (0 if absent).
@@ -300,10 +276,8 @@ func (g Gauge) Stats() GaugeStats {
 	}
 }
 
-// WriteDoc renders a markdown reference of every *typed* (help-bearing)
-// metric across the given value sets, merged by name and sorted. Shim-
-// created metrics with no help text are omitted — documenting them is the
-// migration's job, not the generator's.
+// WriteDoc renders a markdown reference of every help-bearing metric across
+// the given value sets, merged by name and sorted.
 func WriteDoc(w io.Writer, sets ...[]Value) error {
 	byName := make(map[string]Desc)
 	for _, set := range sets {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -182,11 +183,12 @@ func TestRegistryTypedHandles(t *testing.T) {
 		t.Error("handle dead after Reset")
 	}
 
-	// A shim-created metric is upgraded by a typed registration.
-	r.Add("late.typed", 5)
+	// A second registration of a name shares its value and takes the
+	// newer description.
+	r.Counter("late.typed", "", "").Add(5)
 	lt := r.Counter("late.typed", "ops", "help text")
 	if lt.Value() != 5 {
-		t.Errorf("upgraded counter = %d", lt.Value())
+		t.Errorf("re-registered counter = %d", lt.Value())
 	}
 	vals := r.Values()
 	found := false
@@ -194,7 +196,7 @@ func TestRegistryTypedHandles(t *testing.T) {
 		if v.Name == "late.typed" {
 			found = true
 			if v.Help != "help text" || v.Kind != KindCounter {
-				t.Errorf("upgraded desc = %+v", v.Desc)
+				t.Errorf("re-registered desc = %+v", v.Desc)
 			}
 		}
 	}
@@ -215,9 +217,9 @@ func TestRegistryTypedHandles(t *testing.T) {
 
 func TestValuesSortedAndNilRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.Add("z", 1)
-	r.Add("a", 1)
-	r.Add("m", 1)
+	for _, name := range []string{"z", "a", "m"} {
+		r.Counter(name, "", "").Add(1)
+	}
 	vals := r.Values()
 	for i := 1; i < len(vals); i++ {
 		if vals[i-1].Name >= vals[i].Name {
@@ -226,15 +228,72 @@ func TestValuesSortedAndNilRegistry(t *testing.T) {
 	}
 
 	var nr *Registry
-	nr.Add("x", 1)
-	nr.AddTime("y", time.Second)
 	nr.Reset()
 	nr.Counter("c", "", "").Add(1)
 	nr.Timer("t", "").Add(1)
 	nr.Gauge("g", "", "").Set(1)
-	if nr.Get("x") != 0 || nr.GetTime("y") != 0 || nr.Values() != nil {
+	if nr.Get("c") != 0 || nr.GetTime("t") != 0 || nr.Values() != nil {
 		t.Error("nil registry not inert")
 	}
+}
+
+func TestRegistryConcurrentUse(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, tm := r.Counter("n", "ops", "h"), r.Timer("d", "h")
+			for j := 0; j < 1000; j++ {
+				c.Add(1)
+				tm.Add(time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Get("n"); got != 8000 {
+		t.Errorf("concurrent adds = %d, want 8000", got)
+	}
+	if got := r.GetTime("d"); got != 8000*time.Microsecond {
+		t.Errorf("concurrent timer = %v, want 8ms", got)
+	}
+}
+
+// TestRegistryResetRace hammers handle updates concurrently with Values and
+// Reset under the race detector: every snapshot must stay sorted and hold
+// each registered metric exactly once.
+func TestRegistryResetRace(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, tm := r.Counter("n", "ops", "h"), r.Timer("d", "h")
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.Add(1)
+				tm.Add(time.Microsecond)
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		vals := r.Values()
+		for j := 1; j < len(vals); j++ {
+			if vals[j-1].Name >= vals[j].Name {
+				t.Fatalf("Values not sorted under Reset race: %q after %q", vals[j].Name, vals[j-1].Name)
+			}
+		}
+		r.Reset()
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // fillRecorder builds identical content on any recorder — the determinism

@@ -18,7 +18,6 @@ import (
 	"bridge/internal/core"
 	"bridge/internal/distrib"
 	"bridge/internal/obs"
-	"bridge/internal/stats"
 )
 
 // repairMetrics are the replica layer's typed metric handles. Registration
@@ -75,13 +74,13 @@ func nodeFailure(err error) bool {
 	return errors.Is(err, core.ErrNodeDown)
 }
 
-func (m *Mirror) stats() *stats.Counters { return m.c.Msg().Net().Stats() }
+func (m *Mirror) met() repairMetrics { return metricsOn(m.c.Msg().Net().Stats()) }
 
-func (m *Mirror) met() repairMetrics { return metricsOn(m.stats().Registry()) }
-
-func (m *Mirror) emit(kind, format string, args ...any) {
-	if t := m.c.Msg().Net().Tracer(); t != nil {
-		t.Emitf(m.c.Msg().Proc().Now(), kind, format, args...)
+// emit records a degrade or repair event on the observability recorder of
+// the network c runs on, if it has one.
+func emit(c *core.Client, kind, format string, args ...any) {
+	if rec := c.Msg().Net().Recorder(); rec != nil {
+		rec.Event(c.Msg().Proc().Now(), 0, kind, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -101,7 +100,7 @@ func (m *Mirror) appendCopy(i int, n int64, payload []byte) error {
 	}
 	cs.gapStart = n
 	m.met().degradedCopies.Add(1)
-	m.emit("replica.degrade", "%s gap opens at block %d (%v)", cs.name, n, err)
+	emit(m.c, "replica.degrade", "%s gap opens at block %d (%v)", cs.name, n, err)
 	return m.appendOverflow(cs, payload)
 }
 
@@ -181,12 +180,12 @@ func (m *Mirror) writeCopy(i int, n int64, data []byte) error {
 // block stays corrupt on disk and the scrubber or the next read retries.
 func (m *Mirror) readRepair(i int, n int64, data []byte, cause error) {
 	if err := m.writeCopy(i, n, data); err != nil {
-		m.emit("replica.readrepair", "%s block %d repair failed: %v", m.cp[i].name, n, err)
+		emit(m.c, "replica.readrepair", "%s block %d repair failed: %v", m.cp[i].name, n, err)
 		return
 	}
 	m.met().readRepairMirror.Add(1)
 	m.met().readRepairBlocks.Add(1)
-	m.emit("replica.readrepair", "%s block %d rewritten from mirror (%v)", m.cp[i].name, n, cause)
+	emit(m.c, "replica.readrepair", "%s block %d rewritten from mirror (%v)", m.cp[i].name, n, cause)
 }
 
 // Resilver restores full redundancy after the failed node has been
@@ -243,21 +242,13 @@ func (m *Mirror) Resilver() (int64, error) {
 				return repaired, fmt.Errorf("replica: deleting overflow file: %w", err)
 			}
 		}
-		m.emit("replica.resilver", "%s gap [%d,%d) closed", cs.name, cs.gapStart, cs.gapStart+cs.ovfLen)
+		emit(m.c, "replica.resilver", "%s gap [%d,%d) closed", cs.name, cs.gapStart, cs.gapStart+cs.ovfLen)
 		cs.gapStart, cs.ovfName, cs.ovfLen = -1, "", 0
 	}
 	return repaired, nil
 }
 
-func (pf *Parity) stats() *stats.Counters { return pf.c.Msg().Net().Stats() }
-
-func (pf *Parity) met() repairMetrics { return metricsOn(pf.stats().Registry()) }
-
-func (pf *Parity) emit(kind, format string, args ...any) {
-	if t := pf.c.Msg().Net().Tracer(); t != nil {
-		t.Emitf(pf.c.Msg().Proc().Now(), kind, format, args...)
-	}
-}
+func (pf *Parity) met() repairMetrics { return metricsOn(pf.c.Msg().Net().Stats()) }
 
 // degradeStripe records a stale parity stripe and surfaces the typed
 // degraded-write error. The stripe's parity is untouched (still the XOR of
@@ -269,7 +260,7 @@ func (pf *Parity) degradeStripe(stripe int64, cause error) error {
 	}
 	pf.dirty[stripe] = true
 	pf.met().parityDegradedWrites.Add(1)
-	pf.emit("replica.degrade", "%s parity stripe %d stale (%v)", pf.name, stripe, cause)
+	emit(pf.c, "replica.degrade", "%s parity stripe %d stale (%v)", pf.name, stripe, cause)
 	return fmt.Errorf("%w: parity stripe %d: %v", ErrDegradedWrite, stripe, cause)
 }
 
@@ -281,12 +272,12 @@ func (pf *Parity) Degraded() bool { return len(pf.dirty) > 0 }
 // corrupt on disk and the scrubber or the next read retries.
 func (pf *Parity) readRepair(n int64, data []byte, cause error) {
 	if err := pf.c.WriteAt(pf.name, n, data); err != nil {
-		pf.emit("replica.readrepair", "%s block %d repair failed: %v", pf.name, n, err)
+		emit(pf.c, "replica.readrepair", "%s block %d repair failed: %v", pf.name, n, err)
 		return
 	}
 	pf.met().readRepairParity.Add(1)
 	pf.met().readRepairBlocks.Add(1)
-	pf.emit("replica.readrepair", "%s block %d rewritten from parity stripe (%v)", pf.name, n, cause)
+	emit(pf.c, "replica.readrepair", "%s block %d rewritten from parity stripe (%v)", pf.name, n, cause)
 }
 
 // Rebuild restores full redundancy after a failed node has been restarted
@@ -336,7 +327,7 @@ func (pf *Parity) Rebuild() (int64, error) {
 		pf.met().parityRebuilt.Add(1)
 	}
 	if repaired > 0 {
-		pf.emit("replica.rebuild", "%s restored %d blocks", pf.name, repaired)
+		emit(pf.c, "replica.rebuild", "%s restored %d blocks", pf.name, repaired)
 	}
 	return repaired, nil
 }

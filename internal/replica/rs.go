@@ -129,13 +129,7 @@ func (rs *RS) StorageBlocks() (int64, error) {
 // Degraded reports whether any stripe's parity is stale.
 func (rs *RS) Degraded() bool { return len(rs.dirty) > 0 }
 
-func (rs *RS) met() repairMetrics { return metricsOn(rs.c.Msg().Net().Stats().Registry()) }
-
-func (rs *RS) emit(kind, format string, args ...any) {
-	if t := rs.c.Msg().Net().Tracer(); t != nil {
-		t.Emitf(rs.c.Msg().Proc().Now(), kind, format, args...)
-	}
-}
+func (rs *RS) met() repairMetrics { return metricsOn(rs.c.Msg().Net().Stats()) }
 
 // Append writes the payload as the next data block and folds it into each
 // of the m parity cells of its stripe — a read-modify-write per parity
@@ -194,7 +188,7 @@ func (rs *RS) degradeStripe(stripe int64, cause error) error {
 	}
 	rs.dirty[stripe] = true
 	rs.met().rsDegradedWrites.Add(1)
-	rs.emit("replica.degrade", "%s RS stripe %d stale (%v)", rs.name, stripe, cause)
+	emit(rs.c, "replica.degrade", "%s RS stripe %d stale (%v)", rs.name, stripe, cause)
 	return fmt.Errorf("%w: RS stripe %d: %v", ErrDegradedWrite, stripe, cause)
 }
 
@@ -287,12 +281,12 @@ func (rs *RS) Reconstruct(n int64) ([]byte, error) {
 // corrupt on disk and the scrubber or the next read retries.
 func (rs *RS) readRepair(n int64, data []byte, cause error) {
 	if err := rs.c.WriteAt(rs.name, n, data); err != nil {
-		rs.emit("replica.readrepair", "%s block %d repair failed: %v", rs.name, n, err)
+		emit(rs.c, "replica.readrepair", "%s block %d repair failed: %v", rs.name, n, err)
 		return
 	}
 	rs.met().rsReadRepairs.Add(1)
 	rs.met().readRepairBlocks.Add(1)
-	rs.emit("replica.readrepair", "%s block %d rewritten from RS reconstruction (%v)", rs.name, n, cause)
+	emit(rs.c, "replica.readrepair", "%s block %d rewritten from RS reconstruction (%v)", rs.name, n, cause)
 }
 
 // Rebuild restores full redundancy after failures: unreadable data blocks
@@ -348,7 +342,7 @@ func (rs *RS) Rebuild() (int64, error) {
 		delete(rs.dirty, s)
 	}
 	if repaired > 0 {
-		rs.emit("replica.rebuild", "%s restored %d cells", rs.name, repaired)
+		emit(rs.c, "replica.rebuild", "%s restored %d cells", rs.name, repaired)
 	}
 	return repaired, nil
 }

@@ -71,7 +71,7 @@ func Delete(pc sim.Proc, c *core.Client, name string) (DeleteStats, error) {
 	for _, r := range results {
 		total += r.(int)
 	}
-	m := toolMetricsOn(c.Msg().Net().Stats().Registry())
+	m := toolMetricsOn(c.Msg().Net().Stats())
 	m.pdelFiles.Add(1)
 	m.pdelBlocks.Add(int64(total))
 	m.pdelNodes.Add(int64(len(meta.Nodes)))
