@@ -37,16 +37,21 @@ type FaultHook interface {
 
 // Corrupter is an optional extension of FaultHook for silent faults — the
 // ones BeforeOp cannot express because the access *succeeds*. If the hook
-// installed with SetFault also implements Corrupter, reads let it mutate the
-// stored bytes in place (bit rot: wrong contents, no error) and writes let
-// it redirect the destination block (a misdirected write: the data lands,
+// installed with SetFault also implements Corrupter, reads let it rot the
+// stored block (bit rot: wrong contents, no error) and writes let it
+// redirect the destination block (a misdirected write: the data lands,
 // sealed for the wrong address, somewhere else). Implementations must be
 // deterministic under the virtual clock; d.mu is held across calls, so they
 // must not block.
+//
+// Rot is copy-on-write: the device never edits a stored image in place,
+// because ReadTrack hands those images out as shared read-only views. It
+// flips the chosen bit in a fresh copy and stores the copy, so the rot
+// persists for later reads while views taken before it stay unchanged.
 type Corrupter interface {
-	// CorruptBlock may flip bits of the stored image of block bn; data is
-	// the device's own buffer. Returns true if it mutated anything.
-	CorruptBlock(now time.Duration, label string, bn int, data []byte) bool
+	// CorruptBlock decides whether block bn, size bytes long, rots at this
+	// read; if so it returns the bit (0 ≤ bit < size*8) the device flips.
+	CorruptBlock(now time.Duration, label string, bn, size int) (bit int, rot bool)
 	// RedirectWrite returns the block number the write should actually
 	// land on; returning bn (or an out-of-range value) leaves it alone.
 	RedirectWrite(now time.Duration, label string, bn int) int
@@ -133,7 +138,8 @@ type Disk struct {
 	node      int           // cluster node index for recorded spans
 	trace     obs.TraceID   // current trace context, set by the owning LFS
 	parent    obs.SpanID
-	blocks    [][]byte // nil entry = never-written (zero) block
+	blocks    [][]byte // nil entry = never-written (zero) block; never edited in place
+	zero      []byte   // read-only image ReadTrack serves for never-written blocks
 	head      int      // last accessed block, for seek modeling
 	failed    bool
 
@@ -171,6 +177,7 @@ func New(cfg Config) *Disk {
 		cfg:     cfg,
 		stats:   reg,
 		blocks:  make([][]byte, cfg.NumBlocks),
+		zero:    make([]byte, cfg.BlockSize),
 		pending: make(map[int][]byte),
 		m: diskMetrics{
 			ops:         reg.Counter("disk.ops", "ops", "device accesses charged"),
@@ -459,7 +466,8 @@ func (d *Disk) inject(p sim.Proc, op Op, bn, blocks int) (extra time.Duration, t
 	return extra, t, err
 }
 
-// ReadBlock returns a copy of block bn, charging one access.
+// ReadBlock returns a copy of block bn, charging one access. The copy is
+// the caller's to edit (journal replay rewrites headers in it).
 func (d *Disk) ReadBlock(p sim.Proc, bn int) ([]byte, error) {
 	d.mu.Lock()
 	if err := d.check(bn); err != nil {
@@ -480,10 +488,13 @@ func (d *Disk) ReadBlock(p sim.Proc, bn int) ([]byte, error) {
 	return out, nil
 }
 
-// ReadTrack returns copies of every block in the track containing bn for a
-// single access charge. first is the block number of the first returned
-// block. This models a full-track read under one rotation and is the basis
-// of the EFS read-ahead buffer.
+// ReadTrack returns every block in the track containing bn for a single
+// access charge. first is the block number of the first returned block.
+// This models a full-track read under one rotation and is the basis of the
+// EFS read-ahead buffer. The blocks are the device's stored images, not
+// copies: they are read-only and stay valid (and unchanged) forever, since
+// the device replaces an image rather than editing it. Never-written
+// blocks share one zero image.
 func (d *Disk) ReadTrack(p sim.Proc, bn int) (first int, blocks [][]byte, err error) {
 	d.mu.Lock()
 	if err := d.check(bn); err != nil {
@@ -506,7 +517,9 @@ func (d *Disk) ReadTrack(p sim.Proc, bn int) (first int, blocks [][]byte, err er
 	for i := range blocks {
 		// Ascending block order keeps corruption application replayable.
 		d.corrupt(p, first+i)
-		blocks[i] = d.copyOut(first + i)
+		if blocks[i] = d.image(first + i); blocks[i] == nil {
+			blocks[i] = d.zero
+		}
 	}
 	d.mu.Unlock()
 	charge(p, t+extra)
@@ -577,14 +590,27 @@ func (d *Disk) image(bn int) []byte {
 }
 
 // corrupt lets an installed Corrupter rot the stored bytes of block bn
-// before they are served by a read. Never-written blocks have no stored
-// image to rot. Callers hold d.mu.
+// before they are served by a read: the rotted image is a fresh copy that
+// replaces the stored one (buffered or stable, wherever the read finds it),
+// never an edit of it. Never-written blocks have no stored image to rot.
+// Callers hold d.mu.
 func (d *Disk) corrupt(p sim.Proc, bn int) {
 	img := d.image(bn)
 	if d.corrupter == nil || img == nil {
 		return
 	}
-	d.corrupter.CorruptBlock(p.Now(), d.label, bn, img)
+	bit, rot := d.corrupter.CorruptBlock(p.Now(), d.label, bn, len(img))
+	if !rot {
+		return
+	}
+	rotted := make([]byte, len(img))
+	copy(rotted, img)
+	rotted[bit/8] ^= 1 << (uint(bit) % 8)
+	if _, ok := d.pending[bn]; ok {
+		d.pending[bn] = rotted
+	} else {
+		d.blocks[bn] = rotted
+	}
 }
 
 // copyOut returns a copy of block bn as a read would see it (buffered

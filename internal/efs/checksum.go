@@ -37,13 +37,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // blockSum computes the checksum of a full block image at disk address
 // addr, treating the 4 bytes at sumOff as zero.
 func blockSum(addr int32, buf []byte, sumOff int) uint32 {
-	var seed [4]byte
-	binary.LittleEndian.PutUint32(seed[:], uint32(addr))
-	var zero [4]byte
-	sum := crc32.Update(0, crcTable, seed[:])
+	sum := crcWord(0, uint32(addr))
 	sum = crc32.Update(sum, crcTable, buf[:sumOff])
-	sum = crc32.Update(sum, crcTable, zero[:])
+	sum = crcWord(sum, 0)
 	return crc32.Update(sum, crcTable, buf[sumOff+4:])
+}
+
+// crcWord is crc32.Update over the 4 little-endian bytes of w, folded in
+// byte by byte so no slice (which would escape to the heap) is needed.
+func crcWord(crc, w uint32) uint32 {
+	crc = ^crc
+	for i := 0; i < 4; i++ {
+		crc = crcTable[byte(crc)^byte(w)] ^ crc>>8
+		w >>= 8
+	}
+	return ^crc
 }
 
 // seal stamps the checksum into a block image about to be written at addr.

@@ -1,7 +1,10 @@
 package efs
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -246,4 +249,63 @@ func TestScrubStepHonorsBudget(t *testing.T) {
 			t.Errorf("incremental steps never completed a sweep")
 		}
 	})
+}
+
+// TestBlockSumMatchesCRC32Update checks the slice-free checksum against the
+// straightforward crc32.Update formulation on random blocks, addresses and
+// checksum offsets.
+func TestBlockSumMatchesCRC32Update(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, BlockSize)
+	for i := 0; i < 500; i++ {
+		rng.Read(buf)
+		addr := int32(rng.Uint32())
+		sumOff := rng.Intn(BlockSize - 3)
+		var seed, zero [4]byte
+		binary.LittleEndian.PutUint32(seed[:], uint32(addr))
+		want := crc32.Update(0, crcTable, seed[:])
+		want = crc32.Update(want, crcTable, buf[:sumOff])
+		want = crc32.Update(want, crcTable, zero[:])
+		want = crc32.Update(want, crcTable, buf[sumOff+4:])
+		if got := blockSum(addr, buf, sumOff); got != want {
+			t.Fatalf("blockSum(addr %d, off %d) = %#x, want %#x", addr, sumOff, got, want)
+		}
+	}
+}
+
+// TestChecksumGolden pins the checksum of one fixed sealed data block,
+// directory bucket and superblock, so the on-disk format (and images saved
+// by bridgefs) cannot drift.
+func TestChecksumGolden(t *testing.T) {
+	data := make([]byte, BlockSize)
+	encodeHeader(data, blockHeader{FileID: 0x1234, BlockNum: 7, Next: 101, Prev: 99, DataLen: 600, Flags: flagUsed})
+	for i := 0; i < 600; i++ {
+		data[HeaderBytes+i] = byte(i*7 + 3)
+	}
+	bucket := make([]byte, BlockSize)
+	encodeBucket(bucket, dirBucket{Overflow: nilAddr, Entries: []dirEntry{
+		{FileID: 0x1234, First: 93, Last: 100, Blocks: 8},
+		{FileID: 42, First: nilAddr, Last: nilAddr},
+	}})
+	super := make([]byte, BlockSize)
+	encodeSuper(super, superblock{NumBlocks: 4096, DirBuckets: 16, BitmapBlocks: 1, DataStart: 18, NextFileID: 3, JournalBlocks: 64})
+	for _, c := range []struct {
+		name   string
+		addr   int32
+		buf    []byte
+		sumOff int
+		want   uint32
+	}{
+		{"data block", 100, data, dataSumOff, 0x91a183d7},
+		{"bucket", 3, bucket, bucketSumOff, 0x8f0b3183},
+		{"superblock", 0, super, superSumOff, 0x22826e8d},
+	} {
+		seal(c.addr, c.buf, c.sumOff)
+		if got := binary.LittleEndian.Uint32(c.buf[c.sumOff:]); got != c.want {
+			t.Errorf("%s sealed at %d: checksum %#08x, want %#08x", c.name, c.addr, got, c.want)
+		}
+		if !sumOK(c.addr, c.buf, c.sumOff) {
+			t.Errorf("%s does not verify after sealing", c.name)
+		}
+	}
 }

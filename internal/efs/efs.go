@@ -261,7 +261,9 @@ func (fs *FS) FreeBlocks() int { return fs.bm.free() }
 func (fs *FS) DataStart() int { return int(fs.sb.DataStart) }
 
 // readCached returns block addr through the cache; a miss reads the whole
-// containing track (full-track buffering).
+// containing track (full-track buffering). The result is a shared,
+// read-only view of the image: a caller that edits it must edit a copy
+// (bytes.Clone).
 func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 	// A deferred (journaled but uncommitted) home write is authoritative:
 	// the on-disk copy — and any cached copy refreshed from a track read —
@@ -269,9 +271,7 @@ func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 	if fs.jnl != nil {
 		if b, ok := fs.jnl.data[addr]; ok {
 			fs.m.cacheHits.Add(1)
-			out := make([]byte, len(b))
-			copy(out, b)
-			return out, nil
+			return b, nil
 		}
 	}
 	if b, ok := fs.cache.get(addr); ok {
@@ -288,8 +288,7 @@ func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 		a := int32(first + i)
 		fs.cacheInsert(a, b)
 		if a == addr {
-			out = make([]byte, len(b))
-			copy(out, b)
+			out = b
 		}
 	}
 	if out == nil {
@@ -301,7 +300,7 @@ func (fs *FS) readCached(p sim.Proc, addr int32) ([]byte, error) {
 // writeThrough writes a block to disk and refreshes the cache. Data-block
 // writes in EFS are write-through; only directory and bitmap metadata are
 // written behind (flushed on Sync). The block image is sealed here so every
-// data-block write path stamps a checksum.
+// data-block write path stamps a checksum. The cache adopts data.
 func (fs *FS) writeThrough(p sim.Proc, addr int32, data []byte) error {
 	seal(addr, data, dataSumOff)
 	if err := fs.d.WriteBlock(p, int(addr), data); err != nil {
@@ -312,6 +311,7 @@ func (fs *FS) writeThrough(p sim.Proc, addr int32, data []byte) error {
 }
 
 // cacheInsert puts a block into the cache and maintains the location map.
+// The cache adopts data: the caller must not modify it afterwards.
 func (fs *FS) cacheInsert(addr int32, data []byte) {
 	// Only data-region blocks can teach file locations.
 	if int(addr) < int(fs.sb.DataStart) {

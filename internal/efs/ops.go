@@ -1,6 +1,7 @@
 package efs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -70,8 +71,9 @@ func (fs *FS) ReadBlock(p sim.Proc, fileID, blockNum uint32, hint int32) (data [
 	if err != nil {
 		return nil, nilAddr, err
 	}
+	// raw is the cache's shared image; the caller gets its own payload.
 	h := decodeHeader(raw)
-	return raw[HeaderBytes : HeaderBytes+int(h.DataLen)], addr, nil
+	return bytes.Clone(raw[HeaderBytes : HeaderBytes+int(h.DataLen)]), addr, nil
 }
 
 // WriteBlock writes logical block blockNum. blockNum equal to the file size
@@ -161,6 +163,7 @@ func (fs *FS) appendBlock(p sim.Proc, bb *bucketBlock, e *dirEntry, fileID uint3
 			return nilAddr, fmt.Errorf("%w: tail of file %d at %d is not its block", ErrCorrupt, fileID, e.Last)
 		}
 		oh.Next = addr
+		old = bytes.Clone(old)
 		encodeHeader(old, oh)
 		if fs.jnl != nil {
 			// The old tail is committed state: rewriting it in place could
@@ -299,6 +302,7 @@ func (fs *FS) AppendRun(p sim.Proc, fileID, startBlock uint32, datas [][]byte) (
 			return nil, fmt.Errorf("%w: tail of file %d at %d is not its block", ErrCorrupt, fileID, e.Last)
 		}
 		oh.Next = addrs[0]
+		old = bytes.Clone(old)
 		encodeHeader(old, oh)
 		if fs.jnl != nil {
 			fs.deferFix(e.Last, old)
@@ -334,6 +338,7 @@ func (fs *FS) overwriteBlock(p sim.Proc, e *dirEntry, fileID, blockNum uint32, d
 		}
 		return fs.rebuildBlock(p, e, fileID, blockNum, data)
 	}
+	raw = bytes.Clone(raw)
 	h := decodeHeader(raw)
 	h.DataLen = uint16(len(data))
 	encodeHeader(raw, h)
@@ -549,6 +554,7 @@ func (fs *FS) deleteFile(p sim.Proc, fileID uint32, fast bool) (int, error) {
 			// Explicitly mark the block free on disk, as EFS did for
 			// resiliency.
 			h.Flags = 0
+			raw = bytes.Clone(raw)
 			encodeHeader(raw, h)
 			if err := fs.writeThrough(p, addr, raw); err != nil {
 				return freed, err

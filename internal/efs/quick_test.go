@@ -3,6 +3,7 @@ package efs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,10 @@ func TestQuickModelEquivalence(t *testing.T) {
 						return
 					}
 				}
+				if err := cacheCoherent(fs); err != nil {
+					fail("op %d: %v", i, err)
+					return
+				}
 			}
 			// Final full verification.
 			for file, blocks := range model {
@@ -164,4 +169,28 @@ func TestQuickModelEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// cacheCoherent checks that every cached block image equals the block's
+// authoritative image: the journal's deferred image for the address if it
+// has one, else the device's (a never-written block reads as zeroes).
+// Cached images are shared with the device and the journal, so a writer
+// that edits one in place instead of cloning it first shows up here.
+func cacheCoherent(fs *FS) error {
+	zero := make([]byte, BlockSize)
+	for addr, i := range fs.cache.m {
+		want := fs.d.Peek(int(addr))
+		if fs.jnl != nil {
+			if b, ok := fs.jnl.data[addr]; ok {
+				want = b
+			}
+		}
+		if want == nil {
+			want = zero
+		}
+		if !bytes.Equal(fs.cache.entries[i].data, want) {
+			return fmt.Errorf("cached image of block %d differs from its authoritative image", addr)
+		}
+	}
+	return nil
 }

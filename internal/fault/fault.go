@@ -392,11 +392,11 @@ func (in *Injector) BeforeOp(now time.Duration, label string, op disk.Op, bn int
 }
 
 // CorruptBlock implements disk.Corrupter: called on every read of a stored
-// block, it may flip a seeded bit in the device's own buffer — the read then
+// block, it may pick a seeded bit for the device to flip — the read then
 // succeeds with wrong contents. One-shot rot planted with Bitrot applies at
 // the block's next read; window rules draw per read, only inside an active
 // window, so the randomness consumed is schedule-independent.
-func (in *Injector) CorruptBlock(now time.Duration, label string, bn int, data []byte) bool {
+func (in *Injector) CorruptBlock(now time.Duration, label string, bn, size int) (int, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	key := diskBlock{label, bn}
@@ -413,13 +413,12 @@ func (in *Injector) CorruptBlock(now time.Duration, label string, bn int, data [
 		}
 	}
 	if !rot {
-		return false
+		return 0, false
 	}
-	bit := in.rng.Intn(len(data) * 8)
-	data[bit/8] ^= 1 << (uint(bit) % 8)
+	bit := in.rng.Intn(size * 8)
 	in.m.diskBitrot.Add(1)
 	in.emit(now, 0, "fault.bitrot", "%s block %d bit %d", label, bn, bit)
-	return true
+	return bit, true
 }
 
 // RedirectWrite implements disk.Corrupter: a write of a block armed with

@@ -115,8 +115,12 @@ func (rt *vRuntime) nextSeq() uint64 {
 func (rt *vRuntime) schedule() {
 	for {
 		if len(rt.ready) > 0 {
+			// Pop in place so the backing array is reused rather than
+			// walked off and reallocated by later appends.
 			p := rt.ready[0]
-			rt.ready = rt.ready[1:]
+			n := copy(rt.ready, rt.ready[1:])
+			rt.ready[n] = nil
+			rt.ready = rt.ready[:n]
 			rt.active = p
 			p.runCh <- struct{}{}
 			return
